@@ -28,7 +28,8 @@ multi-core element is run-level: :func:`run_app_config` is a spawn-safe,
 module-level worker that builds and runs a complete configuration from a
 picklable dict, and :func:`run_configs_parallel` fans a batch of such
 configurations out across OS worker processes (``multiprocessing`` spawn
-context, one fresh interpreter per config). The equivalence suite and the
+context, one fresh interpreter per config, each worker pinned to a CPU of
+its own from the caller's affinity mask). The equivalence suite and the
 shard-scale benchmark use it to run the sequential baseline and the
 sharded runs side by side and cross-check their digests.
 """
@@ -186,8 +187,10 @@ def run_app_config(config: dict) -> dict:
     executed event counts and the engine's shard statistics. It also
     reports ``wall_s`` (measured in-child around the run itself, so a
     spawn-per-measurement benchmark sees neither interpreter start-up
-    nor any state accumulated by earlier runs) and ``figures`` (the
-    scalar fields of the rank-0 app result, e.g. GUPS or GFLOP/s).
+    nor any state accumulated by earlier runs), ``figures`` (the
+    scalar fields of the rank-0 app result, e.g. GUPS or GFLOP/s) and
+    ``cpus`` (the worker's sorted CPU affinity mask, ``None`` where the
+    platform has none).
     """
     import dataclasses
     import importlib
@@ -247,7 +250,20 @@ def run_app_config(config: dict) -> dict:
             cat: run.profiler.total(cat) for cat in run.profiler.categories()
         },
         "shard_stats": stats,
+        "cpus": sorted(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity") else None,
     }
+
+
+def _pin_worker(counter, cpus: list[int]) -> None:
+    """Pool initializer: pin the n-th worker started to ``cpus[n % len(cpus)]``."""
+    with counter.get_lock():
+        slot = counter.value
+        counter.value += 1
+    try:
+        os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
+    except (AttributeError, OSError):
+        pass  # cannot pin here: keep the inherited mask
 
 
 def run_configs_parallel(
@@ -257,14 +273,25 @@ def run_configs_parallel(
 
     Each config gets a fresh interpreter, so environment overrides and
     engine state never leak between runs — and on a multi-core host the
-    batch genuinely executes in parallel. Results come back in input
-    order.
+    batch genuinely executes in parallel. The pool defaults to one worker
+    per CPU in the caller's affinity mask (capped at the batch size), and
+    each worker is pinned to its own allowed CPU, so no two workers share
+    a core while ``processes`` does not exceed the allowed CPUs. Results
+    come back in input order.
     """
     if not configs:
         return []
     import multiprocessing
 
-    nproc = processes or min(len(configs), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+    else:
+        cpus = list(range(os.cpu_count() or 1))
+    nproc = processes or min(len(configs), len(cpus))
     ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=max(1, nproc)) as pool:
+    with ctx.Pool(
+        processes=max(1, nproc),
+        initializer=_pin_worker,
+        initargs=(ctx.Value("i", 0), cpus),
+    ) as pool:
         return pool.map(run_app_config, configs)

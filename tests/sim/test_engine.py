@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
+import os
+
 import pytest
 
 from repro.sim.engine import Engine
-from repro.util.errors import DeadlockError, SimulationError
+from repro.util.errors import DeadlockError, SimTimeoutError, SimulationError
 
 
 def test_single_proc_runs_and_returns_result():
@@ -245,3 +247,132 @@ def test_scheduler_callbacks_run_in_time_order():
     eng.spawn(body)
     eng.run()
     assert order == ["a", "b", "c"]
+
+
+# -- one core per run ---------------------------------------------------------
+
+needs_pinning = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and at least two allowed CPUs",
+)
+
+
+@pytest.fixture
+def caller_mask():
+    mask = os.sched_getaffinity(0)
+    assert len(mask) >= 2, "an earlier run left this thread pinned"
+    yield mask
+    os.sched_setaffinity(0, mask)
+
+
+@needs_pinning
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_run_pins_every_rank_fiber_to_one_cpu(caller_mask, fastpath):
+    eng = Engine(fastpath=fastpath)
+    seen = []
+
+    def body(p):
+        for _ in range(3):
+            seen.append(os.sched_getaffinity(0))
+            p.sleep(1.0)
+
+    for _ in range(3):
+        eng.spawn(body)
+    eng.run()
+    assert len(seen) == 9
+    assert all(len(mask) == 1 for mask in seen)
+    assert len(set(map(frozenset, seen))) == 1
+    assert seen[0] <= caller_mask
+
+
+@needs_pinning
+def test_daemon_spawned_mid_run_shares_the_pinned_cpu(caller_mask):
+    eng = Engine()
+    seen = {}
+
+    def agent(p):
+        seen["agent"] = os.sched_getaffinity(0)
+
+    def body(p):
+        p.sleep(1.0)
+        seen["rank"] = os.sched_getaffinity(0)
+        eng.spawn(agent, "progress", daemon=True)
+        p.sleep(1.0)
+
+    eng.spawn(body)
+    eng.run()
+    assert len(seen["rank"]) == 1
+    assert seen["agent"] == seen["rank"]
+
+
+def _never_woken(p):
+    p.block("never woken")
+
+
+def _too_long(p):
+    p.sleep(10.0)
+
+
+def _raises(p):
+    p.sleep(1.0)
+    raise ValueError("boom")
+
+
+@needs_pinning
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (lambda p: p.sleep(1.0), None),
+        (_never_woken, DeadlockError),
+        (_too_long, SimTimeoutError),
+        (_raises, ValueError),
+    ],
+    ids=["normal", "deadlock", "timeout", "exception"],
+)
+def test_run_restores_the_callers_mask(caller_mask, body, error):
+    eng = Engine()
+    eng.spawn(body)
+    if error is None:
+        eng.run(deadline=5.0)
+    else:
+        with pytest.raises(error):
+            eng.run(deadline=5.0)
+    assert os.sched_getaffinity(0) == caller_mask
+
+
+@needs_pinning
+def test_single_cpu_caller_is_left_untouched(caller_mask, monkeypatch):
+    one = {min(caller_mask)}
+    os.sched_setaffinity(0, one)
+    calls = []
+    real = os.sched_setaffinity
+    monkeypatch.setattr(
+        os, "sched_setaffinity", lambda pid, mask: calls.append(mask) or real(pid, mask)
+    )
+    eng = Engine()
+    proc = eng.spawn(lambda p: os.sched_getaffinity(0))
+    eng.run()
+    assert calls == []
+    assert proc.result == one
+    assert os.sched_getaffinity(0) == one
+
+
+@needs_pinning
+def test_pin_skipped_when_setaffinity_fails(caller_mask, monkeypatch):
+    def refuse(pid, mask):
+        raise OSError("affinity not permitted")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    eng = Engine()
+    proc = eng.spawn(lambda p: os.sched_getaffinity(0))
+    eng.run()
+    assert proc.result == caller_mask
+    assert os.sched_getaffinity(0) == caller_mask
+
+
+def test_pin_skipped_without_setaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    eng = Engine()
+    proc = eng.spawn(lambda p: 42)
+    eng.run()
+    assert proc.result == 42

@@ -325,7 +325,8 @@ def test_run_app_config_in_process(monkeypatch):
 def test_run_configs_parallel_across_processes():
     # Exercise the real spawn path in a subprocess-driven pool: the
     # baseline and the sharded run execute in separate interpreters and
-    # their fingerprints must still match bit-for-bit.
+    # their fingerprints must still match bit-for-bit. On a host with two
+    # or more allowed CPUs each worker runs pinned to a CPU of its own.
     code = (
         "import json, sys\n"
         "sys.path.insert(0, 'tests')\n"
@@ -336,6 +337,11 @@ def test_run_configs_parallel_across_processes():
         "assert shd['digest'] == base['digest'], (shd, base)\n"
         "assert shd['shard_digests'] == base['shard_digests']\n"
         "assert shd['makespan'] == base['makespan']\n"
+        "import os\n"
+        "if hasattr(os, 'sched_setaffinity') and len(os.sched_getaffinity(0)) > 1:\n"
+        "    cpus = (base['cpus'], shd['cpus'])\n"
+        "    assert [len(c) for c in cpus] == [1, 1], cpus\n"
+        "    assert set(cpus[0]).isdisjoint(cpus[1]), cpus\n"
         "print('spawn-ok')\n"
     )
     env = dict(os.environ)
