@@ -50,7 +50,9 @@ def run_hpl(img: Image, *, n: int = 192, block: int = 16, seed: int = 5) -> HplR
     if n % block:
         raise CafError(f"block size {block} must divide N={n}")
     nblocks = n // block
-    a = make_matrix(seed, n)
+    # One matrix per run, shared by every image (each copies out its own
+    # blocks): per-image generation would hold P full n x n matrices.
+    a = img.cluster.shared(("hpl-matrix", seed, n), lambda: make_matrix(seed, n))
     # Block-cyclic column distribution: block j lives on image j % P.
     mine = {j: a[:, j * block : (j + 1) * block].copy() for j in range(nblocks) if j % p == img.rank}
     img.cluster.shared("hpl-factors", dict)[img.rank] = mine

@@ -148,7 +148,7 @@ class CompiledTrace:
     def costs_for(self, spec: MachineSpec) -> np.ndarray:
         a = self.trace.arrays
         return eval_costs(
-            a["kind"] * 0 + a["ck"],  # plain ck column (defensive copy not needed)
+            a["ck"],  # read-only in eval_costs, so no copy
             a["c0"], a["c1"], a["c2"], a["d"], spec, self.nranks,
         )
 
